@@ -34,9 +34,13 @@ shutdown  close the listener after replying
 ========  ====================================================
 
 Every reply carries ``"ok"``; errors reply ``{"ok": false, "error":
-...}`` without killing the connection.  The simulation itself is
-blocking CPU work, so serves run under an :class:`asyncio.Lock` in the
-default executor — one scenario at a time, results in request order.
+...}`` without killing the connection — protocol errors, request lines
+longer than :data:`LINE_LIMIT` bytes (discarded whole), and serves that
+fail inside the runtime (e.g. a pool worker killed mid-serve, replied
+as the exception name; the next serve boots a fresh pool).  The
+simulation itself is blocking CPU work, so serves run under an
+:class:`asyncio.Lock` in the default executor — one scenario at a
+time, results in request order.
 
 ``python -m repro serve --listen HOST:PORT`` wraps this in a process
 (:func:`run_frontend`).
@@ -54,7 +58,12 @@ import numpy as np
 from .runtime import WarmRuntime
 from .scenario import FleetScenario
 
-__all__ = ["ServiceFrontend", "run_frontend"]
+__all__ = ["LINE_LIMIT", "ServiceFrontend", "run_frontend"]
+
+#: Longest request line the front-end reads, in bytes (asyncio's
+#: default stream limit).  A longer line is discarded up to its newline
+#: and answered with an error; split big submits into chunks.
+LINE_LIMIT = 2**16
 
 
 class ServiceFrontend:
@@ -100,7 +109,7 @@ class ServiceFrontend:
     async def start(self) -> None:
         """Bind and start accepting connections."""
         self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+            self._handle, self.host, self.port, limit=LINE_LIMIT
         )
         self.host, self.port = self._server.sockets[0].getsockname()[:2]
 
@@ -144,16 +153,26 @@ class ServiceFrontend:
             self._conn_tasks.add(task)
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await _read_line(reader)
+                if line == b"":
                     break
                 try:
+                    if line is None:
+                        raise ValueError(
+                            f"request line exceeds {LINE_LIMIT} bytes — "
+                            "submit the stream in smaller chunks"
+                        )
                     request = json.loads(line)
                     if not isinstance(request, dict):
                         raise ValueError("request must be a JSON object")
                     reply = await self._dispatch(request)
                 except (ValueError, KeyError, TypeError) as exc:
                     reply = {"ok": False, "error": str(exc)}
+                except Exception as exc:  # the serve itself failed
+                    reply = {
+                        "ok": False,
+                        "error": f"{type(exc).__name__}: {exc}",
+                    }
                 writer.write(
                     json.dumps(reply, sort_keys=True).encode() + b"\n"
                 )
@@ -239,6 +258,30 @@ class ServiceFrontend:
             )
         self.runs += 1
         return payload
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next request line (an unterminated last line at EOF
+    included); ``b""`` at EOF; ``None`` for a line longer than
+    :data:`LINE_LIMIT`, consumed through its newline so the next
+    request parses cleanly."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial
+    except asyncio.LimitOverrunError as exc:
+        consumed = exc.consumed
+    while True:
+        # Drop what is buffered so far; the data stays in the reader's
+        # buffer on an overrun, so this never waits.
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None  # the oversized line ended at EOF
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
 
 
 def run_frontend(

@@ -1,5 +1,5 @@
-"""Multi-core fleet execution: process-parallel shard groups with a
-deterministic report merge.
+"""Multi-core fleet execution: independent shard groups, the code that
+runs one group, and the deterministic report merge.
 
 A :class:`repro.service.Fleet` interleaves every shard on ONE Python
 event loop, so an 8-shard scenario burns one core no matter how many
@@ -42,24 +42,26 @@ execution groups** (connected components of the coupling relation):
   that runs alongside failures still **falls back to the serial path**
   (recorded in the execution metadata).
 
-:func:`run_fleet_scenario_parallel` then runs each group's sub-fleet
-in a worker process (``multiprocessing`` via
-``concurrent.futures.ProcessPoolExecutor``).  The parent generates the
-fleet stream **once**, routes and compiles it per shard through the
-real :class:`Fleet` (one vectorized pass), and ships each worker only
-its group's compiled slices — workers never regenerate or re-route the
-full stream.  Everything crossing the process boundary is spawn-safe:
-workers receive the (picklable) :class:`FleetScenario`, their
-:class:`ShardGroup`, and their :class:`repro.sim.CompiledTrace` slices,
-rebuild layouts/mappers through their own local registry, and simulate
-only their own arrays on a fresh clock.  Per-group results are merged
+There is one grouped-execution driver, inside
+:class:`repro.service.runtime.WarmRuntime`;
+:func:`run_fleet_scenario_parallel` is a one-shot runtime whose worker
+pool lives for a single run.  The driver generates the fleet stream
+**once**, routes and compiles it per shard through the real
+:class:`Fleet` (one vectorized pass), and packs the compiled slices
+into one shared-memory segment; each worker maps read-only views of
+its own group's slices — workers never regenerate or re-route the full
+stream, and no trace is pickled.  This module holds the worker side of
+that contract: the executors a typed task calls with its group, and
+the merge.  Workers rebuild layouts/mappers through their own local
+registry and simulate only their own arrays on a fresh clock, then
+return constant-size latency digests.  Per-group results are merged
 **deterministically** — per-shard vectors placed by global shard id,
-latency samples concatenated in shard order (exactly the serial
-report's float-summation order), rebuild outcomes re-sorted — so the
-merged report is equal to the serial shared-clock report field for
-field, and ``workers=N`` output is byte-identical to ``workers=1``
-after :func:`canonical_payload` strips the wall-clock and
-execution-metadata fields that legitimately differ run to run.
+latency digests folded in shard order (exactly the serial report's
+float-summation order), rebuild outcomes re-sorted — so the merged
+report is equal to the serial shared-clock report field for field,
+and ``workers=N`` output is byte-identical to ``workers=1`` after
+:func:`canonical_payload` strips the wall-clock and execution-metadata
+fields that legitimately differ run to run.
 
 Why the decomposition is *exact* (not approximate): within one shard,
 event order on the shared clock is decided by ``(time, seq)`` with a
@@ -76,7 +78,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -92,13 +93,7 @@ from ..sim.compile import (
 )
 from ..sim.controller import ArrayController
 from ..sim.events import Simulator
-from ..sim.stats import (
-    LatencyDigest,
-    LatencyStats,
-    merge_summaries,
-    summarize,
-)
-from .conformance import check_fleet
+from ..sim.stats import LatencyDigest, merge_summaries, summarize
 from .fleet import (
     Fleet,
     FleetReport,
@@ -116,10 +111,9 @@ from .orchestrator import (
     FailureEvent,
     FailureOrchestrator,
     RebuildOutcome,
-    max_concurrent_rebuilds,
     validate_failure_schedule,
 )
-from .scenario import FleetScenario, FleetScenarioReport, run_fleet_scenario
+from .scenario import FleetScenario, FleetScenarioReport
 
 __all__ = [
     "ShardGroup",
@@ -409,27 +403,20 @@ def _partition_reshape(scenario: FleetScenario) -> GroupPartition:
 class GroupResult:
     """One group's raw simulation outcome (everything the merge needs,
     nothing summarized early — summaries must be computed over the
-    merged sample streams to match the serial report bit for bit).
+    merged accumulators to match the serial report bit for bit).
 
     Attributes:
         group_index: position in the partition.
         arrays: global shard ids (ascending, mirrors the group spec).
         scheduled: per-shard routed request counts (group order).
-        samples: per-shard ``{kind: [latency, ...]}`` in completion
-            order (group order).  Every built-in executor now reduces
-            latency worker-side into ``digests`` and leaves these
-            empty — raw O(requests) sample lists never ride the result
-            pickle — but the merge still accepts samples for
-            compatibility.
+        digests: per-shard ``{kind: LatencyDigest}`` accumulators —
+            constant-size result IPC, summary-identical to the raw
+            completion-order sample lists (see ``repro.sim.stats``).
         per_disk_ios: per-shard completed-IO vectors (group order).
         duration_ms: this group's makespan on its own clock.
         outcomes: completed rebuilds (global array ids, completion
             order).
         wall_s: worker wall-clock for the group (build + simulate).
-        digests: per-shard ``{kind: LatencyDigest}`` accumulators —
-            constant-size result IPC for windowed *and* materialized
-            workers (summary-identical to the raw sample lists; see
-            ``repro.sim.stats``).
         migrations: completed volume moves this group's coordinator
             executed (global ids, completion order).
         engines: per-shard engine labels (group order; ``None`` entries
@@ -442,12 +429,11 @@ class GroupResult:
     group_index: int
     arrays: tuple[int, ...]
     scheduled: list[int]
-    samples: list[dict[str, list[float]]]
+    digests: list[dict[str, LatencyDigest]]
     per_disk_ios: list[list[int]]
     duration_ms: float
     outcomes: list[RebuildOutcome]
     wall_s: float
-    digests: list[dict[str, LatencyDigest]] | None = None
     migrations: list[VolumeMigrationOutcome] = field(default_factory=list)
     engines: list[str | None] = field(default_factory=list)
     obs: MetricsRecorder | None = None
@@ -488,118 +474,158 @@ def _digest_latency(ctrl: ArrayController) -> dict[str, LatencyDigest]:
     return out
 
 
+class _GroupSim:
+    """One plain group's sub-fleet on a fresh clock (worker side): the
+    controllers, recorder, and failure orchestrator both plain
+    executors build identically, plus the result assembly they share.
+
+    With ``interval_ms`` the group records into a local
+    :class:`repro.obs.MetricsRecorder` keyed by *global* shard ids, so
+    the parent's absorb is a pure placement merge.
+    """
+
+    def __init__(
+        self,
+        scenario: FleetScenario,
+        group: ShardGroup,
+        index: int,
+        interval_ms: float | None,
+    ) -> None:
+        self.t0 = time.perf_counter()
+        self.group = group
+        self.index = index
+        self.sim = sim = Simulator()
+        layout = get_layout(scenario.v, scenario.k)
+        self.controllers = [
+            ArrayController(
+                layout,
+                sim=sim,
+                dataplane=scenario.verify_data,
+                seed=scenario.seed + gid,
+                write_policy=scenario.write_policy,
+            )
+            for gid in group.arrays
+        ]
+        self.rec = (
+            MetricsRecorder(interval_ms) if interval_ms is not None else None
+        )
+        for gid, ctrl in zip(group.arrays, self.controllers):
+            ctrl.obs_shard = gid
+            if self.rec is not None:
+                ctrl.obs = self.rec
+        self.orchestrator = None
+        if group.failures:
+            local_index = {gid: i for i, gid in enumerate(group.arrays)}
+            self.orchestrator = FailureOrchestrator(
+                _LocalFleet(self.controllers, sim, layout),  # type: ignore[arg-type]
+                tuple(
+                    replace(ev, array=local_index[ev.array])
+                    for ev in group.failures
+                ),
+                admission=group.admission_slots,
+                parallelism=scenario.rebuild_parallelism,
+            )
+            self.orchestrator.arm()
+        # Engine choice replicates the serial gate exactly: the serial
+        # fleet takes the per-shard batched/carry engines only when its
+        # shared clock is idle at serve time — i.e. when the scenario
+        # arms nothing (failure or reshape) anywhere — so a healthy
+        # group must not take the fast engines just because its own
+        # slice is quiet while another group rebuilds.
+        self.batched = not scenario.failures and scenario.reshape_to is None
+
+    def result(
+        self,
+        scheduled: list[int],
+        digests: list[dict[str, LatencyDigest]] | None = None,
+    ) -> GroupResult:
+        """Record the makespan, run the serial runner's trailing clock
+        drain (failures scheduled beyond the last completion), and
+        package the outcome; ``digests=None`` reduces the controllers'
+        latency samples."""
+        sim = self.sim
+        duration = sim.now
+        sim.run()
+        arrays = self.group.arrays
+        if self.rec is not None:
+            for gid, ctrl in zip(arrays, self.controllers):
+                self.rec.set_stat(
+                    gid,
+                    "queue_delay_ms",
+                    sum(d.total_queue_delay for d in ctrl.disks),
+                )
+        if digests is None:
+            digests = [_digest_latency(ctrl) for ctrl in self.controllers]
+        outcomes = []
+        if self.orchestrator is not None:
+            outcomes = [
+                replace(o, array=arrays[o.array])
+                for o in self.orchestrator.outcomes
+            ]
+        return GroupResult(
+            group_index=self.index,
+            arrays=arrays,
+            scheduled=scheduled,
+            digests=digests,
+            per_disk_ios=[c.per_disk_completed() for c in self.controllers],
+            duration_ms=duration,
+            outcomes=outcomes,
+            wall_s=time.perf_counter() - self.t0,
+            engines=[c.last_engine for c in self.controllers],
+            obs=self.rec,
+        )
+
+
+def _route_fleet_stream(
+    scenario: FleetScenario, fleet: Fleet, stream=None
+) -> list[CompiledTrace]:
+    """Parent side, once per run: generate the scenario's stream
+    (unless a ``(times, is_read, lbas)`` stream was submitted) and
+    route + compile it per shard through the real fleet in one
+    vectorized pass — workers never regenerate or re-route it."""
+    if stream is None:
+        stream = generate_request_stream(
+            scenario.workload(), scenario.duration_ms, fleet.capacity
+        )
+    compiled, _ = fleet.route_stream(*stream)
+    return compiled
+
+
 def _execute_group(
     scenario: FleetScenario,
     group: ShardGroup,
     compiled: tuple[CompiledTrace, ...],
     group_index: int,
-    allow_batched: bool,
     metrics_interval_ms: float | None = None,
 ) -> GroupResult:
-    """Run one group's sub-fleet to completion (worker side).
+    """Run one group's sub-fleet over its pre-routed compiled slices
+    (worker side).
 
     Mirrors ``run_fleet_scenario`` + ``Fleet.serve_compiled`` step for
-    step for the arrays it owns: same seeds, same pre-routed traces
-    (compiled once in the parent — workers never regenerate the fleet
-    stream), same engine choice, same final clock drain — so the
-    merged report equals the serial one exactly.  With
-    ``metrics_interval_ms`` the worker records into a local
-    :class:`repro.obs.MetricsRecorder` keyed by *global* shard ids, so
-    the parent's absorb is a pure placement merge.
+    step for the arrays it owns: same seeds, same traces, same engine
+    choice, same final clock drain — so the merged report equals the
+    serial one exactly.
     """
-    t0 = time.perf_counter()
-    sim = Simulator()
-    layout = get_layout(scenario.v, scenario.k)
-    controllers = [
-        ArrayController(
-            layout,
-            sim=sim,
-            dataplane=scenario.verify_data,
-            seed=scenario.seed + gid,
-            write_policy=scenario.write_policy,
-        )
-        for gid in group.arrays
-    ]
-    rec = (
-        MetricsRecorder(metrics_interval_ms)
-        if metrics_interval_ms is not None
-        else None
-    )
-    for gid, ctrl in zip(group.arrays, controllers):
-        ctrl.obs_shard = gid
-        if rec is not None:
-            ctrl.obs = rec
-    if rec is not None:
+    run = _GroupSim(scenario, group, group_index, metrics_interval_ms)
+    sim = run.sim
+    if run.rec is not None:
         # Same point the serial serve records arrivals (stream start is
         # sim time 0 in workers, exactly as in the serial scenario run).
         for gid, trace in zip(group.arrays, compiled):
             if trace.n:
-                rec.arrivals(gid, trace.times)
-
-    orchestrator = None
-    if group.failures:
-        local_index = {gid: i for i, gid in enumerate(group.arrays)}
-        shim = _LocalFleet(controllers=controllers, sim=sim, layout=layout)
-        orchestrator = FailureOrchestrator(
-            shim,  # type: ignore[arg-type] - duck-typed Fleet surface
-            tuple(
-                replace(ev, array=local_index[ev.array])
-                for ev in group.failures
-            ),
-            admission=group.admission_slots,
-            parallelism=scenario.rebuild_parallelism,
-        )
-        orchestrator.arm()
-
-    # Engine choice replicates the serial gate exactly: the serial
-    # fleet takes the per-shard batched engines
-    # (``Fleet._execute_all``) only when its shared clock is idle at
-    # serve time — i.e. when the scenario arms no failures anywhere —
-    # so a healthy group must not take the fast engines just because
-    # its own slice is quiet while another group rebuilds.
-    if allow_batched and not sim.pending():
-        base = sim.now
-        end = base
-        for ctrl, trace in zip(controllers, compiled):
+                run.rec.arrivals(gid, trace.times)
+    if run.batched:
+        base = end = sim.now
+        for ctrl, trace in zip(run.controllers, compiled):
             sim.now = base
             execute_compiled(ctrl, trace)
             end = max(end, sim.now)
         sim.now = end
     else:
-        for ctrl, trace in zip(controllers, compiled):
+        for ctrl, trace in zip(run.controllers, compiled):
             schedule_compiled(ctrl, trace)
         sim.run()
-    duration = sim.now
-    # Failures scheduled beyond the last completion (empty-stream edge)
-    # — the serial runner's trailing drain, replicated per group.
-    sim.run()
-
-    outcomes = []
-    if orchestrator is not None:
-        outcomes = [
-            replace(o, array=group.arrays[o.array])
-            for o in orchestrator.outcomes
-        ]
-    if rec is not None:
-        for gid, ctrl in zip(group.arrays, controllers):
-            rec.set_stat(
-                gid,
-                "queue_delay_ms",
-                sum(d.total_queue_delay for d in ctrl.disks),
-            )
-    return GroupResult(
-        group_index=group_index,
-        arrays=group.arrays,
-        scheduled=[t.n for t in compiled],
-        samples=[{} for _ in controllers],
-        per_disk_ios=[ctrl.per_disk_completed() for ctrl in controllers],
-        duration_ms=duration,
-        outcomes=outcomes,
-        wall_s=time.perf_counter() - t0,
-        digests=[_digest_latency(ctrl) for ctrl in controllers],
-        engines=[ctrl.last_engine for ctrl in controllers],
-        obs=rec,
-    )
+    return run.result([t.n for t in compiled])
 
 
 class _FilteredWindows:
@@ -635,67 +661,29 @@ def _execute_group_windowed(
     capacity: int,
     n_volumes: int,
     group_index: int,
-    allow_batched: bool,
     metrics_interval_ms: float | None = None,
     *,
     windows=None,
 ) -> GroupResult:
     """Run one group's sub-fleet with a windowed stream (worker side).
 
-    Instead of receiving pre-split compiled traces, the worker
-    regenerates the fleet stream one window at a time
-    (:class:`StreamWindows` is seed-deterministic) and routes each
+    By default the worker regenerates the fleet stream one window at a
+    time (:class:`StreamWindows` is seed-deterministic) and routes each
     window to its own arrays through the shipped static table — peak
     memory stays one window per shard at any horizon, in the parent
-    *and* in every worker.  The warm runtime passes ``windows``
-    explicitly instead — any re-iterable ``(times, is_read, lbas)``
-    window source, e.g. :class:`repro.sim.compile.ArrayWindows` over
-    shared-memory views of a submitted stream — and the worker serves
-    it through the identical pumps.  Engine choice mirrors the serial
-    :meth:`Fleet.serve_windows` gate exactly: the carry engines only
-    when the whole scenario arms nothing on any clock, the per-shard
-    chained heap pumps otherwise (the serial window router's per-shard
-    event order, minus other groups' events, which never reorder
-    ours).  Latency reduces into per-shard digests — the same
-    accumulators the serial windowed serve feeds ``_report``.
+    *and* in every worker.  ``windows`` overrides the source with any
+    re-iterable ``(times, is_read, lbas)`` window source, e.g.
+    :class:`repro.sim.compile.ArrayWindows` over shared-memory views of
+    a submitted stream, served through the identical pumps.  Engine
+    choice mirrors the serial :meth:`Fleet.serve_windows` gate
+    exactly: the carry engines only when the whole scenario arms
+    nothing on any clock, the per-shard chained heap pumps otherwise
+    (the serial window router's per-shard event order, minus other
+    groups' events, which never reorder ours).  Latency reduces into
+    per-shard digests — the same accumulators the serial windowed
+    serve feeds ``_report``.
     """
-    t0 = time.perf_counter()
-    sim = Simulator()
-    layout = get_layout(scenario.v, scenario.k)
-    controllers = [
-        ArrayController(
-            layout,
-            sim=sim,
-            dataplane=scenario.verify_data,
-            seed=scenario.seed + gid,
-            write_policy=scenario.write_policy,
-        )
-        for gid in group.arrays
-    ]
-    rec = (
-        MetricsRecorder(metrics_interval_ms)
-        if metrics_interval_ms is not None
-        else None
-    )
-    for gid, ctrl in zip(group.arrays, controllers):
-        ctrl.obs_shard = gid
-        if rec is not None:
-            ctrl.obs = rec
-    orchestrator = None
-    if group.failures:
-        local_index = {gid: i for i, gid in enumerate(group.arrays)}
-        shim = _LocalFleet(controllers=controllers, sim=sim, layout=layout)
-        orchestrator = FailureOrchestrator(
-            shim,  # type: ignore[arg-type] - duck-typed Fleet surface
-            tuple(
-                replace(ev, array=local_index[ev.array])
-                for ev in group.failures
-            ),
-            admission=group.admission_slots,
-            parallelism=scenario.rebuild_parallelism,
-        )
-        orchestrator.arm()
-
+    run = _GroupSim(scenario, group, group_index, metrics_interval_ms)
     if windows is None:
         windows = StreamWindows(
             scenario.workload(),
@@ -703,26 +691,24 @@ def _execute_group_windowed(
             capacity,
             window_size=scenario.window_size,
         )
-    digests: list[dict[str, LatencyDigest]] = [{} for _ in controllers]
-    scheduled = [0] * len(controllers)
-    carried = False
-    if allow_batched and not sim.pending():
-        carried = _windows_carry(
-            sim,
-            controllers,
-            group.arrays,
-            route=route,
-            volume_units=volume_units,
-            shard_capacity=shard_capacity,
-            n_volumes=n_volumes,
-            capacity=capacity,
-            write_policy=scenario.write_policy,
-            dataplane=scenario.verify_data,
-            windows=windows,
-            digests=digests,
-            scheduled=scheduled,
-            read_only_hint=scenario.read_fraction >= 1.0,
-        )
+    digests: list[dict[str, LatencyDigest]] = [{} for _ in group.arrays]
+    scheduled = [0] * len(group.arrays)
+    carried = run.batched and _windows_carry(
+        run.sim,
+        run.controllers,
+        group.arrays,
+        route=route,
+        volume_units=volume_units,
+        shard_capacity=shard_capacity,
+        n_volumes=n_volumes,
+        capacity=capacity,
+        write_policy=scenario.write_policy,
+        dataplane=scenario.verify_data,
+        windows=windows,
+        digests=digests,
+        scheduled=scheduled,
+        read_only_hint=scenario.read_fraction >= 1.0,
+    )
     if not carried:
         for d in digests:
             d.clear()
@@ -739,41 +725,15 @@ def _execute_group_windowed(
                 volume_units,
                 shard_capacity,
             )
-            for i, (gid, ctrl) in enumerate(zip(group.arrays, controllers))
+            for i, (gid, ctrl) in enumerate(
+                zip(group.arrays, run.controllers)
+            )
         ]
-        sim.run()
+        run.sim.run()
         for i, (count, drain) in enumerate(pumps):
             drain()
             scheduled[i] = count[0]
-    duration = sim.now
-    sim.run()
-
-    outcomes = []
-    if orchestrator is not None:
-        outcomes = [
-            replace(o, array=group.arrays[o.array])
-            for o in orchestrator.outcomes
-        ]
-    if rec is not None:
-        for gid, ctrl in zip(group.arrays, controllers):
-            rec.set_stat(
-                gid,
-                "queue_delay_ms",
-                sum(d.total_queue_delay for d in ctrl.disks),
-            )
-    return GroupResult(
-        group_index=group_index,
-        arrays=group.arrays,
-        scheduled=scheduled,
-        samples=[{} for _ in controllers],
-        per_disk_ios=[ctrl.per_disk_completed() for ctrl in controllers],
-        duration_ms=duration,
-        outcomes=outcomes,
-        wall_s=time.perf_counter() - t0,
-        digests=digests,
-        engines=[ctrl.last_engine for ctrl in controllers],
-        obs=rec,
-    )
+    return run.result(scheduled, digests)
 
 
 def _execute_migration_group(
@@ -848,7 +808,6 @@ def _execute_migration_group(
         router.start()
         fleet.sim.run()
         router.drain()
-        samples = None
     else:
         times, is_read, lbas = generate_request_stream(
             scenario.workload(), scenario.duration_ms, fleet.capacity
@@ -866,7 +825,6 @@ def _execute_migration_group(
         fleet.sim.run()
         scheduled = [t.n for t in compiled]
         digests = [_digest_latency(ctrl) for ctrl in fleet.controllers]
-        samples = None
     duration = fleet.sim.now
     fleet.sim.run()
     while len(scheduled) < len(fleet.controllers):
@@ -891,41 +849,21 @@ def _execute_migration_group(
         group_index=group_index,
         arrays=group.arrays,
         scheduled=[scheduled[a] for a in local],
-        samples=(
-            [samples[a] for a in local]
-            if samples is not None
-            else [{} for _ in local]
-        ),
+        digests=[digests[a] for a in local],
         per_disk_ios=[
             fleet.controllers[a].per_disk_completed() for a in local
         ],
         duration_ms=duration,
         outcomes=[],
         wall_s=time.perf_counter() - t0,
-        digests=(
-            [digests[a] for a in local] if digests is not None else None
-        ),
         migrations=list(coordinator.outcomes),
         engines=[fleet.controllers[a].last_engine for a in local],
         obs=rec,
     )
 
 
-def _execute_group_task(
-    task: tuple,
-) -> GroupResult:
-    """Pool entry point (top-level so it pickles under spawn): the
-    task's first element names the worker mode."""
-    kind = task[0]
-    if kind == "compiled":
-        return _execute_group(*task[1:])
-    if kind == "windowed":
-        return _execute_group_windowed(*task[1:])
-    return _execute_migration_group(*task[1:])
-
-
 # ----------------------------------------------------------------------
-# Merge + runner
+# Merge + execution metadata
 # ----------------------------------------------------------------------
 
 
@@ -939,17 +877,17 @@ def _merge_results(
 ]:
     """Fold per-group raw results into one fleet report.
 
-    Placement is by global shard id; merged latency samples concatenate
-    in shard order — the exact order the serial report sums them in, so
-    float reductions (means) agree bit for bit.  A reshape scenario's
-    report covers ``reshape_to`` shards (reshape-born shards a group
-    didn't touch stay zero rows, matching the serial pads); migration
-    outcomes merge sorted by volume id — the canonical order the
-    report serializes them in.
+    Placement is by global shard id; per-shard latency accumulators
+    fold in shard order — the exact order the serial report sums them
+    in, so float reductions (means) agree bit for bit.  A reshape
+    scenario's report covers ``reshape_to`` shards (reshape-born shards
+    a group didn't touch stay zero rows, matching the serial pads);
+    migration outcomes merge sorted by volume id — the canonical order
+    the report serializes them in.
     """
     n = max(scenario.shards, scenario.reshape_to or 0)
     scheduled = [0] * n
-    accs: list[dict] = [{} for _ in range(n)]
+    accs: list[dict[str, LatencyDigest]] = [{} for _ in range(n)]
     per_disk: list[list[int]] = [[0] * scenario.v for _ in range(n)]
     engines: list[str | None] = [None] * n
     duration = 0.0
@@ -962,20 +900,12 @@ def _merge_results(
         for i, gid in enumerate(res.arrays):
             scheduled[gid] = res.scheduled[i]
             per_disk[gid] = res.per_disk_ios[i]
-            if i < len(res.engines):
-                engines[gid] = res.engines[i]
-            if res.digests is not None:
-                accs[gid] = {
-                    kind: res.digests[i][kind]
-                    for kind in res.digests[i]
-                    if res.digests[i][kind].count
-                }
-            else:
-                accs[gid] = {
-                    kind: LatencyStats(samples=res.samples[i][kind])
-                    for kind in res.samples[i]
-                    if res.samples[i][kind]
-                }
+            engines[gid] = res.engines[i]
+            accs[gid] = {
+                kind: digest
+                for kind, digest in res.digests[i].items()
+                if digest.count
+            }
 
     # Per-shard accumulators feed the same shard-order merge_summaries
     # fold the serial Fleet._report performs, so merged means and
@@ -1014,6 +944,18 @@ def _merge_results(
         tuple(sorted(outcomes, key=lambda o: o.array)),
         tuple(sorted(migrations, key=lambda m: m.volume)),
     )
+
+
+def _group_row(group: ShardGroup, duration_ms: float, wall_s: float) -> dict:
+    """One :attr:`ParallelExecution.groups` row."""
+    return {
+        "arrays": list(group.arrays),
+        "admission_slots": group.admission_slots,
+        "failures": len(group.failures),
+        "migration_volumes": list(group.migration_volumes),
+        "duration_ms": duration_ms,
+        "wall_s": wall_s,
+    }
 
 
 @dataclass(frozen=True)
@@ -1123,27 +1065,30 @@ def run_fleet_scenario_parallel(
     mp_context: str = "auto",
     recorder=None,
 ) -> ParallelScenarioRun:
-    """Run a scenario across worker processes, one per shard group.
+    """Run a scenario across worker processes, one per shard group —
+    a one-shot :class:`repro.service.runtime.WarmRuntime` whose pool
+    and shared-memory segments live for this run only.
 
     Args:
         scenario: the scenario to run (must be failure/migration
             consistent, exactly as :func:`run_fleet_scenario` requires).
+        workers: process budget.  ``None`` auto-sizes to
+            ``min(groups, available_cpus())``; ``1`` runs the grouped
+            pipeline in-process through the same task entry point
+            (useful for testing the merge without process overhead) —
+            the CLI maps ``--workers 1`` to the plain serial runner
+            instead.
+        mp_context: multiprocessing start method — ``"auto"`` picks
+            ``fork`` where available (cheap) and falls back to
+            ``spawn``; pass ``"spawn"``/``"forkserver"`` explicitly to
+            exercise those paths (everything shipped to workers is
+            spawn-safe).
         recorder: optional :class:`repro.obs.MetricsRecorder`.  Workers
             record into local recorders on their own simulated clocks
             (keyed by global shard id) and the parent absorbs them —
             per-shard state is disjoint across groups, so the merged
             recorder renders snapshot rows byte-identical to a serial
             instrumented run's.
-        workers: process budget.  ``None`` auto-sizes to
-            ``min(groups, available_cpus())``; ``1`` runs the grouped
-            pipeline in-process (useful for testing the merge without
-            process overhead) — the CLI maps ``--workers 1`` to the
-            plain serial runner instead.
-        mp_context: multiprocessing start method — ``"auto"`` picks
-            ``fork`` where available (cheap) and falls back to
-            ``spawn``; pass ``"spawn"``/``"forkserver"`` explicitly to
-            exercise those paths (everything shipped to workers is
-            spawn-safe).
 
     Returns:
         A :class:`ParallelScenarioRun` whose report content matches the
@@ -1153,174 +1098,17 @@ def run_fleet_scenario_parallel(
         ValueError: on inconsistent scenario parameters or a
             non-positive ``workers``.
     """
+    from .runtime import WarmRuntime  # the runtime builds on this module
+
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    t0 = time.perf_counter()
-    cpus = available_cpus()
     partition = partition_scenario(scenario)
-
-    if partition.serial_fallback:
-        report = run_fleet_scenario(scenario, recorder=recorder)
-        group = partition.groups[0]
-        execution = ParallelExecution(
-            requested_workers=workers,
-            workers=1,
-            cpu_count=cpus,
-            mp_context=None,
-            serial_fallback=True,
-            fallback_reason=partition.reason,
-            groups=(
-                {
-                    "arrays": list(group.arrays),
-                    "admission_slots": group.admission_slots,
-                    "failures": len(group.failures),
-                    "migration_volumes": list(group.migration_volumes),
-                    "duration_ms": report.fleet.duration_ms,
-                    "wall_s": report.wall_s,
-                },
-            ),
-            admission_partition=partition.admission_partition(),
+    budget = workers if workers is not None else available_cpus()
+    with WarmRuntime(
+        scenario,
+        workers=min(budget, len(partition.groups)),
+        mp_context=mp_context,
+    ) as runtime:
+        return runtime._run_grouped(
+            partition, recorder=recorder, requested_workers=workers
         )
-        return ParallelScenarioRun(report=report, execution=execution)
-
-    # Parent-side work that must not be duplicated per worker: the
-    # stream is generated, routed, and compiled ONCE through the real
-    # fleet (one vectorized pass) for materialized tasks — windowed
-    # tasks instead ship the routing table and regenerate windows
-    # worker-side, so neither the parent nor any worker ever holds the
-    # full stream.  The conformance gate and the routing fingerprint
-    # also run here.  Data planes stay off — the parent never
-    # simulates.
-    fleet = Fleet(
-        scenario.shards,
-        scenario.v,
-        scenario.k,
-        volumes=scenario.volumes,
-        dataplane=False,
-        seed=scenario.seed,
-        placement=scenario.placement,
-        write_policy=scenario.write_policy,
-    )
-    conformance = (
-        check_fleet(fleet) if scenario.check_conformance else None
-    )
-    planned_moves = 0
-    fingerprint = fleet.shard_map.fingerprint()
-    if scenario.reshape_to is not None:
-        # The serial runner reports the post-reshape table (scenarios
-        # always run their migration to convergence) — compute it from
-        # the plan without simulating.
-        plan = plan_migration(fleet, scenario.reshape_to)
-        planned_moves = len(plan.moves)
-        fingerprint = plan.target_map.fingerprint()
-    # Mirrors the serial engine gate: the serial fleet only takes the
-    # batched/carry engines when its shared clock is idle at serve
-    # time, i.e. when nothing (failure or reshape) is armed anywhere.
-    allow_batched = (
-        not scenario.failures and scenario.reshape_to is None
-    )
-    windowed = scenario.window_size is not None
-    plain_groups = [
-        (i, g)
-        for i, g in enumerate(partition.groups)
-        if not g.migration_volumes
-    ]
-    compiled = None
-    if plain_groups and not windowed:
-        times, is_read, lbas = generate_request_stream(
-            scenario.workload(), scenario.duration_ms, fleet.capacity
-        )
-        compiled, _ = fleet.route_stream(times, is_read, lbas)
-    route = fleet.volume_route()
-    interval = recorder.interval_ms if recorder is not None else None
-    tasks: list[tuple] = []
-    for i, group in enumerate(partition.groups):
-        if group.migration_volumes:
-            tasks.append(("migration", scenario, group, i, interval))
-        elif windowed:
-            tasks.append(
-                (
-                    "windowed",
-                    scenario,
-                    group,
-                    route,
-                    fleet.volume_units,
-                    fleet.shard_capacity,
-                    fleet.capacity,
-                    fleet.shard_map.volumes,
-                    i,
-                    allow_batched,
-                    interval,
-                )
-            )
-        else:
-            tasks.append(
-                (
-                    "compiled",
-                    scenario,
-                    group,
-                    tuple(compiled[a] for a in group.arrays),
-                    i,
-                    allow_batched,
-                    interval,
-                )
-            )
-
-    n_workers = workers if workers is not None else min(len(tasks), cpus)
-    n_workers = min(n_workers, len(tasks))
-    context_name: str | None = None
-    if n_workers <= 1:
-        results = [_execute_group_task(t) for t in tasks]
-    else:
-        import multiprocessing
-
-        if mp_context == "auto":
-            methods = multiprocessing.get_all_start_methods()
-            context_name = "fork" if "fork" in methods else "spawn"
-        else:
-            context_name = mp_context
-        ctx = multiprocessing.get_context(context_name)
-        with ProcessPoolExecutor(
-            max_workers=n_workers, mp_context=ctx
-        ) as pool:
-            results = list(pool.map(_execute_group_task, tasks))
-    results.sort(key=lambda r: r.group_index)
-
-    if recorder is not None:
-        for res in results:
-            if res.obs is not None:
-                recorder.absorb(res.obs)
-
-    fleet_report, outcomes, migrations = _merge_results(scenario, results)
-    report = FleetScenarioReport(
-        scenario=scenario,
-        conformance=conformance,
-        fleet=fleet_report,
-        rebuilds=outcomes,
-        migrations=migrations,
-        planned_moves=planned_moves,
-        routing_fingerprint=fingerprint,
-        wall_s=time.perf_counter() - t0,
-        max_concurrent_rebuilds=max_concurrent_rebuilds(outcomes),
-    )
-    execution = ParallelExecution(
-        requested_workers=workers,
-        workers=n_workers,
-        cpu_count=cpus,
-        mp_context=context_name,
-        serial_fallback=False,
-        fallback_reason=None,
-        groups=tuple(
-            {
-                "arrays": list(g.arrays),
-                "admission_slots": g.admission_slots,
-                "failures": len(g.failures),
-                "migration_volumes": list(g.migration_volumes),
-                "duration_ms": r.duration_ms,
-                "wall_s": r.wall_s,
-            }
-            for g, r in zip(partition.groups, results)
-        ),
-        admission_partition=partition.admission_partition(),
-    )
-    return ParallelScenarioRun(report=report, execution=execution)

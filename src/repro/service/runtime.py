@@ -1,25 +1,25 @@
-"""Warm fleet runtime: persistent workers, shared-memory transport,
-and compiled-artifact caching for the serving path.
+"""Fleet runtime: the one grouped-execution driver, with a worker pool,
+shared-memory transport, and compiled-artifact caching.
 
-The batch runner (:func:`repro.service.run_fleet_scenario_parallel`)
-executes one scenario and tears everything down: a fresh
-``ProcessPoolExecutor`` per run, registries rebuilt from scratch in
-every worker, and compiled trace slices shipped by pickle.  A
-long-lived front-end serving repeated streams pays all of that again
-on every ``serve`` — even though the paper's declustered layouts are
-static per fleet shape, so everything derived from them (flat mapping
-tables, CSR incidence, routed compiled slices) is reusable until the
-fleet reshapes.
+Every process-parallel run goes through :class:`WarmRuntime`.  The
+batch runner (:func:`repro.service.run_fleet_scenario_parallel`) is a
+one-shot runtime — pool and segments live for a single scenario run —
+and a long-lived front-end keeps one runtime across serves, because
+the paper's declustered layouts are static per fleet shape, so
+everything derived from them (flat mapping tables, CSR incidence,
+routed compiled slices) is reusable until the fleet reshapes.  Either
+way, one typed task per shard group runs through one entry point
+(:func:`_run_task`), in a pool worker or in-process.
 
-:class:`WarmRuntime` amortizes the whole cold path across runs:
+:class:`WarmRuntime` amortizes the whole path across runs:
 
 * **Persistent worker pool** (:class:`WorkerPool`): workers boot once
   per fleet shape — the pool initializer primes the layout / mapper /
   incidence registries for ``(v, k)`` — and are reused across repeated
   scenario runs, stream windows, and socket submits.  The pool is
   spawn-safe (everything crossing the boundary pickles), reboots
-  explicitly when the fleet shape changes, and drains gracefully on
-  :meth:`WarmRuntime.close`.
+  explicitly when the fleet shape changes or a worker died, and drains
+  gracefully on :meth:`WarmRuntime.close`.
 * **Zero-copy trace transport**: compiled per-shard traces are packed
   once into a ``multiprocessing.shared_memory`` segment (parent writes
   once; workers attach and build *read-only* ndarray views), so a
@@ -29,15 +29,14 @@ fleet reshapes.
   SIGTERM (the front-end installs handlers) and interpreter exit (an
   ``atexit`` safety net), so no ``/dev/shm`` orphans and no
   ``resource_tracker`` warnings survive a session.
-* **Compiled-artifact cache** (:class:`ArtifactCache` semantics,
-  bounded LRU): artifacts are keyed by (fleet shape, stream
-  fingerprint, seed), so a repeated socket submit — or a repeated
-  synthetic run — skips stream generation *and* ``route_stream``
-  entirely and reuses the packed slices.  The cache applies only to
-  materialized serves without a reshape or autoscale policy (windowed
-  serves never materialize by design; reshapes divert traffic through
-  the live coordinator), and a run that executed a reshape/autoscale
-  event invalidates it.
+* **Compiled-artifact cache** (bounded LRU): artifacts are keyed by
+  (fleet shape, stream fingerprint, seed), so a repeated socket submit
+  — or a repeated synthetic run — skips stream generation *and*
+  ``route_stream`` entirely and reuses the packed slices.  The cache
+  applies only to materialized serves without a reshape or autoscale
+  policy (windowed serves never materialize by design; reshapes divert
+  traffic through the live coordinator), and a run that executed a
+  reshape/autoscale event invalidates it.
 
 The canonical byte-identity contract is non-negotiable and holds by
 construction: cached slices are exactly the ``route_stream`` output
@@ -60,7 +59,8 @@ import secrets
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict, dataclass
 from hashlib import blake2b
 from multiprocessing import shared_memory
 from pathlib import Path
@@ -68,18 +68,23 @@ from pathlib import Path
 import numpy as np
 
 from ..core.registry import get_incidence, get_layout, get_mapper
-from ..sim.compile import ArrayWindows, CompiledTrace, generate_request_stream
+from ..sim.compile import ArrayWindows, CompiledTrace
 from .conformance import check_fleet
 from .fleet import Fleet
 from .migration import plan_migration
 from .orchestrator import max_concurrent_rebuilds
 from .parallel import (
+    GroupPartition,
+    GroupResult,
     ParallelExecution,
     ParallelScenarioRun,
+    ShardGroup,
     _execute_group,
-    _execute_group_task,
     _execute_group_windowed,
+    _execute_migration_group,
+    _group_row,
     _merge_results,
+    _route_fleet_stream,
     available_cpus,
     partition_scenario,
 )
@@ -255,6 +260,10 @@ _ATTACHED_CAP = 8
 
 
 def _attach(name: str) -> shared_memory.SharedMemory:
+    owned = _LIVE_SEGMENTS.get(name)
+    if owned is not None and owned[1] == os.getpid():
+        # An in-process task reads the creator's own mapping.
+        return owned[0]
     shm = _ATTACHED.get(name)
     if shm is not None:
         _ATTACHED.move_to_end(name)
@@ -279,52 +288,94 @@ def _prime_worker(v: int, k: int) -> None:
     get_incidence(layout)
 
 
-def _runtime_task(task: tuple):
-    """Persistent-pool entry point (top-level so it pickles under
-    spawn).  Shared-memory task kinds rebuild read-only views and
-    delegate to the batch runner's group executors — the execution
-    itself is byte-for-byte the cold path's."""
-    kind = task[0]
-    if kind == "shm_compiled":
-        scenario, group, handle, index, allow_batched, interval = task[1:]
-        name, specs = handle
-        shm = _attach(name)
-        compiled = tuple(_trace_from(shm, spec) for spec in specs)
+@dataclass(frozen=True)
+class _SegmentSlice:
+    """A picklable handle on arrays packed in a runtime segment: the
+    segment name plus the :func:`_pack_arrays` specs to view (one
+    six-array tuple per shard for compiled traces)."""
+
+    name: str
+    specs: tuple
+
+
+@dataclass(frozen=True)
+class _GroupTask:
+    """What every group task carries: the scenario, its group, the
+    group's partition index, and the metrics interval (``None`` =
+    uninstrumented)."""
+
+    scenario: FleetScenario
+    group: ShardGroup
+    index: int
+    interval_ms: float | None
+
+
+@dataclass(frozen=True)
+class _MaterializedTask(_GroupTask):
+    """A plain group over its pre-routed compiled slices, viewed
+    read-only from the run's artifact segment."""
+
+    traces: _SegmentSlice
+
+    def run(self) -> GroupResult:
+        shm = _attach(self.traces.name)
+        compiled = tuple(_trace_from(shm, spec) for spec in self.traces.specs)
         return _execute_group(
-            scenario, group, compiled, index, allow_batched, interval
+            self.scenario, self.group, compiled, self.index, self.interval_ms
         )
-    if kind == "shm_windowed":
-        (
-            scenario,
-            group,
-            route,
-            volume_units,
-            shard_capacity,
-            capacity,
-            n_volumes,
-            index,
-            allow_batched,
-            interval,
-            handle,
-        ) = task[1:]
-        name, specs, window_size = handle
-        shm = _attach(name)
-        times, is_read, lbas = (_view(shm, s) for s in specs)
-        windows = ArrayWindows(times, is_read, lbas, window_size)
+
+
+@dataclass(frozen=True)
+class _WindowedTask(_GroupTask):
+    """A plain group served in windows through the static routing
+    table: regenerated worker-side from the seed, or — with ``stream``
+    — cut from a submitted stream's raw arrays in shared memory."""
+
+    route: np.ndarray
+    volume_units: int
+    shard_capacity: int
+    capacity: int
+    n_volumes: int
+    stream: _SegmentSlice | None = None
+
+    def run(self) -> GroupResult:
+        windows = None
+        if self.stream is not None:
+            shm = _attach(self.stream.name)
+            times, is_read, lbas = (_view(shm, s) for s in self.stream.specs)
+            windows = ArrayWindows(
+                times, is_read, lbas, self.scenario.window_size
+            )
         return _execute_group_windowed(
-            scenario,
-            group,
-            route,
-            volume_units,
-            shard_capacity,
-            capacity,
-            n_volumes,
-            index,
-            allow_batched,
-            interval,
+            self.scenario,
+            self.group,
+            self.route,
+            self.volume_units,
+            self.shard_capacity,
+            self.capacity,
+            self.n_volumes,
+            self.index,
+            self.interval_ms,
             windows=windows,
         )
-    return _execute_group_task(task)
+
+
+@dataclass(frozen=True)
+class _MigrationTask(_GroupTask):
+    """One migration component on a full-size worker fleet (the worker
+    regenerates the synthetic stream and filters it to the
+    component)."""
+
+    def run(self) -> GroupResult:
+        return _execute_migration_group(
+            self.scenario, self.group, self.index, self.interval_ms
+        )
+
+
+def _run_task(task: _GroupTask) -> GroupResult:
+    """The one group entry point — top-level so it pickles under spawn;
+    in-process runs call it directly."""
+    return task.run()
 
 
 # ----------------------------------------------------------------------
@@ -361,15 +412,7 @@ class RuntimeStats:
     ipc_bytes_avoided: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "runs": self.runs,
-            "pool_warm_hits": self.pool_warm_hits,
-            "pool_cold_boots": self.pool_cold_boots,
-            "compile_cache_hits": self.compile_cache_hits,
-            "compile_cache_misses": self.compile_cache_misses,
-            "shm_bytes": self.shm_bytes,
-            "ipc_bytes_avoided": self.ipc_bytes_avoided,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -382,17 +425,20 @@ class _Artifact:
     traces: list[CompiledTrace]
     nbytes: int
 
-    def handle(self, arrays: tuple[int, ...]) -> tuple:
-        """The picklable slice handle for one group's shards."""
-        return (self.shm.name, tuple(self.specs[a] for a in arrays))
+    def slice(self, group: ShardGroup) -> _SegmentSlice:
+        """The picklable handle on one group's shards."""
+        return _SegmentSlice(
+            self.shm.name, tuple(self.specs[a] for a in group.arrays)
+        )
 
 
 class WorkerPool:
     """A persistent ``ProcessPoolExecutor`` primed for one fleet shape.
 
     Workers boot lazily on the first mapped task batch and stay alive
-    across runs; :meth:`ensure` reboots them only when the served
-    ``(v, k)`` shape changes (the registry priming would be stale).
+    across runs; :meth:`ensure` reboots them when the served ``(v, k)``
+    shape changes (the registry priming would be stale) or after a
+    worker died (a broken executor is dropped by :meth:`map`).
     :meth:`close` drains gracefully — in-flight tasks finish before
     the processes exit.
     """
@@ -429,10 +475,22 @@ class WorkerPool:
         self._shape = shape
         return True
 
-    def map(self, tasks: list[tuple]) -> list:
+    def map(self, tasks: list[_GroupTask]) -> list[GroupResult]:
+        """Run every task through :func:`_run_task`, in task order.
+
+        Raises:
+            BrokenProcessPool: a worker died mid-batch (e.g. killed by
+                the OOM killer).  The executor can never run another
+                task, so it is dropped first and the next
+                :meth:`ensure` boots a fresh pool.
+        """
         if self._pool is None:  # pragma: no cover - ensure() precedes map()
             raise RuntimeError("pool not booted — call ensure() first")
-        return list(self._pool.map(_runtime_task, tasks))
+        try:
+            return list(self._pool.map(_run_task, tasks))
+        except BrokenProcessPool:
+            self.close()
+            raise
 
     def close(self) -> None:
         """Graceful drain: wait for in-flight tasks, then reap the
@@ -478,10 +536,12 @@ def _stream_key(sc: FleetScenario, stream) -> tuple:
 
 
 class WarmRuntime:
-    """The serving path's amortizing runtime: one scenario, a warm
+    """The fleet's one grouped-execution driver: one scenario, a warm
     worker pool, shared-memory trace transport, and a compiled-artifact
     cache — with reports canonically byte-identical to the cold serial
-    runner's at every window size and worker count.
+    runner's at every window size and worker count.  A one-shot
+    runtime is the batch ``--workers N`` path
+    (:func:`repro.service.run_fleet_scenario_parallel`).
 
     Args:
         scenario: the :class:`FleetScenario` every :meth:`run` serves.
@@ -594,17 +654,9 @@ class WarmRuntime:
             self._cache.move_to_end(key)
             return art
         self.stats.compile_cache_misses += 1
-        if fleet is None:
-            fleet = self._routing_fleet()
-        if stream is None:
-            times, is_read, lbas = generate_request_stream(
-                self.scenario.workload(),
-                self.scenario.duration_ms,
-                fleet.capacity,
-            )
-        else:
-            times, is_read, lbas = stream
-        compiled, _ = fleet.route_stream(times, is_read, lbas)
+        compiled = _route_fleet_stream(
+            self.scenario, fleet or self._routing_fleet(), stream
+        )
         shm, specs, nbytes = _pack_traces(compiled)
         art = _Artifact(
             shm=shm,
@@ -634,6 +686,8 @@ class WarmRuntime:
             RuntimeError: after :meth:`close`.
             ValueError: on inconsistent scenario parameters (the
                 serial runner's own checks).
+            BrokenProcessPool: a pool worker died during this serve;
+                the next serve boots a fresh pool.
         """
         if self._closed:
             raise RuntimeError("runtime is closed")
@@ -647,7 +701,12 @@ class WarmRuntime:
                 np.ascontiguousarray(stream[2], dtype=np.int64),
             )
         if self.workers > 1:
-            payload = self._run_parallel(stream, recorder)
+            payload = self._run_grouped(
+                partition_scenario(sc),
+                stream=stream,
+                recorder=recorder,
+                requested_workers=self.workers,
+            ).to_dict()
         else:
             payload = self._run_serial(stream, recorder)
         if sc.reshape_to is not None or sc.autoscale is not None:
@@ -680,163 +739,135 @@ class WarmRuntime:
             )
         return report.to_dict()
 
-    def _serial_payload(
+    def _run_grouped(
         self,
-        report: FleetScenarioReport,
-        partition,
+        partition: GroupPartition,
         *,
-        reason: str,
-        cpus: int,
-    ) -> dict:
-        group = partition.groups[0]
-        execution = ParallelExecution(
-            requested_workers=self.workers,
-            workers=1,
-            cpu_count=cpus,
-            mp_context=None,
-            serial_fallback=True,
-            fallback_reason=reason,
-            groups=(
-                {
-                    "arrays": list(group.arrays),
-                    "admission_slots": group.admission_slots,
-                    "failures": len(group.failures),
-                    "migration_volumes": list(group.migration_volumes),
-                    "duration_ms": report.fleet.duration_ms,
-                    "wall_s": report.wall_s,
-                },
-            ),
-            admission_partition=partition.admission_partition(),
-        )
-        return ParallelScenarioRun(report=report, execution=execution).to_dict()
+        stream=None,
+        recorder=None,
+        requested_workers: int | None,
+    ) -> ParallelScenarioRun:
+        """The grouped-execution driver: serve ``partition``'s groups
+        as typed tasks — on the pool, or in-process when this runtime
+        has none — and merge their results into one report.
 
-    def _run_parallel(self, stream, recorder) -> dict:
+        A partition that cannot split (or a submitted stream with a
+        live reshape) runs the plain serial runner instead, recorded
+        as a serial fallback.  Materialized plain groups read their
+        slices from the (cached) artifact segment; windowed groups
+        regenerate their windows worker-side, or view a submitted
+        stream packed into a per-serve segment.
+        """
         sc = self.scenario
         t0 = time.perf_counter()
         cpus = available_cpus()
-        partition = partition_scenario(sc)
-        if partition.serial_fallback:
-            report = run_fleet_scenario(sc, recorder=recorder, stream=stream)
-            return self._serial_payload(
-                report, partition, reason=partition.reason, cpus=cpus
-            )
+        reason = partition.reason if partition.serial_fallback else None
         if stream is not None and any(
             g.migration_volumes for g in partition.groups
         ):
             # Migration workers regenerate the synthetic stream; a
             # submitted stream has no worker-side regeneration, so a
             # live reshape serves it on the serial path.
+            reason = (
+                "a submitted stream with a live reshape serves serially "
+                "— migration workers regenerate synthetic streams only"
+            )
+        if reason is not None:
             report = run_fleet_scenario(sc, recorder=recorder, stream=stream)
-            return self._serial_payload(
-                report,
-                partition,
-                reason=(
-                    "a submitted stream with a live reshape serves "
-                    "serially — migration workers regenerate synthetic "
-                    "streams only"
+            row = _group_row(
+                partition.groups[0], report.fleet.duration_ms, report.wall_s
+            )
+            return ParallelScenarioRun(
+                report=report,
+                execution=ParallelExecution(
+                    requested_workers=requested_workers,
+                    workers=1,
+                    cpu_count=cpus,
+                    mp_context=None,
+                    serial_fallback=True,
+                    fallback_reason=reason,
+                    groups=(row,),
+                    admission_partition=partition.admission_partition(),
                 ),
-                cpus=cpus,
             )
 
+        # Parent-side work that must not be duplicated per worker: the
+        # conformance gate, the routing fingerprint, and — for
+        # materialized groups — one generate + route + pack pass.  Data
+        # planes stay off; the parent never simulates.
         fleet = self._routing_fleet()
         conformance = check_fleet(fleet) if sc.check_conformance else None
         planned_moves = 0
         fingerprint = fleet.shard_map.fingerprint()
         if sc.reshape_to is not None:
+            # The serial runner reports the post-reshape table
+            # (scenarios always run their migration to convergence) —
+            # compute it from the plan without simulating.
             plan = plan_migration(fleet, sc.reshape_to)
             planned_moves = len(plan.moves)
             fingerprint = plan.target_map.fingerprint()
-        allow_batched = not sc.failures and sc.reshape_to is None
-        windowed = sc.window_size is not None
         interval = recorder.interval_ms if recorder is not None else None
-        route = fleet.volume_route()
-
+        plain = any(not g.migration_volumes for g in partition.groups)
         artifact = None
-        stream_handle = None
-        plain = [g for g in partition.groups if not g.migration_volumes]
-        if plain and not windowed:
+        raw = None
+        if plain and sc.window_size is None:
             artifact = self._artifact(stream, fleet)
-        elif plain and windowed and stream is not None:
+        elif plain and stream is not None:
             # Windowed serves never materialize compiled slices, but a
             # submitted stream still rides shared memory: pack the raw
             # arrays once and let each worker view them read-only.
-            shm, specs, nbytes = _pack_arrays(list(stream))
-            self.stats.shm_bytes += nbytes
-            stream_handle = (shm.name, specs, sc.window_size, nbytes)
-
-        tasks: list[tuple] = []
+            shm, specs, raw_bytes = _pack_arrays(list(stream))
+            raw = _SegmentSlice(shm.name, specs)
+            self.stats.shm_bytes += raw_bytes
+        route = fleet.volume_route()
+        tasks: list[_GroupTask] = []
         for i, group in enumerate(partition.groups):
+            head = (sc, group, i, interval)
             if group.migration_volumes:
-                tasks.append(("migration", sc, group, i, interval))
-            elif windowed and stream_handle is not None:
-                tasks.append(
-                    (
-                        "shm_windowed",
-                        sc,
-                        group,
-                        route,
-                        fleet.volume_units,
-                        fleet.shard_capacity,
-                        fleet.capacity,
-                        fleet.shard_map.volumes,
-                        i,
-                        allow_batched,
-                        interval,
-                        stream_handle[:3],
-                    )
-                )
-            elif windowed:
-                tasks.append(
-                    (
-                        "windowed",
-                        sc,
-                        group,
-                        route,
-                        fleet.volume_units,
-                        fleet.shard_capacity,
-                        fleet.capacity,
-                        fleet.shard_map.volumes,
-                        i,
-                        allow_batched,
-                        interval,
-                    )
-                )
+                tasks.append(_MigrationTask(*head))
+            elif artifact is not None:
+                tasks.append(_MaterializedTask(*head, artifact.slice(group)))
             else:
                 tasks.append(
-                    (
-                        "shm_compiled",
-                        sc,
-                        group,
-                        artifact.handle(group.arrays),
-                        i,
-                        allow_batched,
-                        interval,
+                    _WindowedTask(
+                        *head,
+                        route,
+                        fleet.volume_units,
+                        fleet.shard_capacity,
+                        fleet.capacity,
+                        fleet.shard_map.volumes,
+                        raw,
                     )
                 )
 
-        cold = self._pool.ensure((sc.v, sc.k))
-        if cold:
-            self.stats.pool_cold_boots += 1
-        else:
-            self.stats.pool_warm_hits += 1
+        workers, context = 1, None
         try:
-            results = self._pool.map(tasks)
+            if self._pool is None:
+                results = [_run_task(task) for task in tasks]
+            else:
+                if self._pool.ensure((sc.v, sc.k)):
+                    self.stats.pool_cold_boots += 1
+                else:
+                    self.stats.pool_warm_hits += 1
+                results = self._pool.map(tasks)
+                workers = min(self.workers, len(tasks))
+                context = self._pool.context_name
         finally:
-            if stream_handle is not None:
+            if raw is not None:
                 # Per-serve raw-stream segments are not cached; release
-                # as soon as every worker task has returned.
-                self.stats.shm_bytes -= stream_handle[3]
-                _release_segment(stream_handle[0])
-        results.sort(key=lambda r: r.group_index)
+                # as soon as every task has returned.
+                self.stats.shm_bytes -= raw_bytes
+                _release_segment(raw.name)
 
         if artifact is not None:
             # What a pickle transport would have shipped: every group's
             # trace slice, once per run.
             self.stats.ipc_bytes_avoided += sum(
-                spec[2] * np.dtype(spec[1]).itemsize
-                for g in plain
-                for a in g.arrays
-                for spec in artifact.specs[a]
+                n * np.dtype(dtype).itemsize
+                for task in tasks
+                if isinstance(task, _MaterializedTask)
+                for shard in task.traces.specs
+                for _, dtype, n in shard
             )
         if recorder is not None:
             for res in results:
@@ -859,23 +890,16 @@ class WarmRuntime:
             max_concurrent_rebuilds=max_concurrent_rebuilds(outcomes),
         )
         execution = ParallelExecution(
-            requested_workers=self.workers,
-            workers=min(self.workers, len(tasks)),
+            requested_workers=requested_workers,
+            workers=workers,
             cpu_count=cpus,
-            mp_context=self._pool.context_name,
+            mp_context=context,
             serial_fallback=False,
             fallback_reason=None,
             groups=tuple(
-                {
-                    "arrays": list(g.arrays),
-                    "admission_slots": g.admission_slots,
-                    "failures": len(g.failures),
-                    "migration_volumes": list(g.migration_volumes),
-                    "duration_ms": r.duration_ms,
-                    "wall_s": r.wall_s,
-                }
+                _group_row(g, r.duration_ms, r.wall_s)
                 for g, r in zip(partition.groups, results)
             ),
             admission_partition=partition.admission_partition(),
         )
-        return ParallelScenarioRun(report=report, execution=execution).to_dict()
+        return ParallelScenarioRun(report=report, execution=execution)

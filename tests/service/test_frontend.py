@@ -4,6 +4,10 @@ the front-end adds transport, never semantics."""
 
 import asyncio
 import json
+import logging
+import os
+import signal
+from multiprocessing.connection import wait
 
 import pytest
 
@@ -13,8 +17,10 @@ from repro.service import (
     FleetScenario,
     ServiceFrontend,
     canonical_payload,
+    leaked_segments,
     run_fleet_scenario,
 )
+from repro.service.frontend import LINE_LIMIT
 from repro.sim import generate_request_stream
 
 
@@ -283,3 +289,90 @@ class TestFrontend:
                 await frontend.close()
 
         _run(main())
+
+
+def _submit_serve_ops(times, is_read, lbas):
+    return [
+        {
+            "op": "submit",
+            "times": times.tolist(),
+            "is_read": is_read.tolist(),
+            "lbas": lbas.tolist(),
+        },
+        {"op": "serve"},
+    ]
+
+
+class TestFrontendRobustness:
+    def test_oversized_request_line_gets_an_error_reply(self, caplog):
+        """A submit line past the stream limit (20k requests, ~200 KB)
+        is discarded through its newline and answered with an error —
+        no asyncio traceback, no reset connection — and a request
+        pipelined right behind it is still served."""
+        scenario = _scenario()
+        times, is_read, lbas = (a[:20_000] for a in _stream_for(
+            _scenario(duration_ms=60_000.0)
+        ))
+        big = json.dumps(_submit_serve_ops(times, is_read, lbas)[0]).encode()
+        assert len(big) > LINE_LIMIT
+
+        async def main():
+            frontend = ServiceFrontend(scenario)
+            await frontend.start()
+            try:
+                host, port = frontend.address
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(big + b"\n" + b'{"op": "ping"}\n')
+                await writer.drain()
+                refused = json.loads(await reader.readline())
+                pinged = json.loads(await reader.readline())
+                writer.close()
+                return refused, pinged
+            finally:
+                await frontend.close()
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            refused, pinged = _run(main())
+        assert refused["ok"] is False
+        assert str(LINE_LIMIT) in refused["error"]
+        assert pinged["ok"] and pinged["buffered"] == 0
+        assert caplog.records == []
+
+    def test_killed_worker_fails_one_serve_then_recovers(self):
+        """SIGKILL one pool worker between serves: the next serve
+        replies ``ok: false`` naming the exception, the one after it
+        boots a fresh pool and matches the batch report, and teardown
+        leaves no segment behind."""
+        scenario = _scenario(window_size=None)
+        stream = _stream_for(scenario)
+        batch = run_fleet_scenario(scenario, stream=stream).to_dict()
+        ops = _submit_serve_ops(*stream)
+
+        async def main():
+            frontend = ServiceFrontend(scenario, workers=2)
+            await frontend.start()
+            try:
+                rpc, writer = await _client(frontend)
+                replies = []
+                for attempt in range(3):
+                    if attempt == 1:
+                        procs = frontend.runtime._pool._pool._processes
+                        victim = next(iter(procs.values()))
+                        os.kill(victim.pid, signal.SIGKILL)
+                        wait([victim.sentinel], timeout=30)
+                    for op in ops:
+                        reply = await rpc(op)
+                    replies.append(reply)
+                ping = await rpc({"op": "ping"})
+                writer.close()
+                return replies, ping
+            finally:
+                await frontend.close()
+
+        (first, failed, recovered), ping = _run(main())
+        assert first["ok"] and recovered["ok"]
+        assert failed["ok"] is False
+        assert failed["error"].startswith("BrokenProcessPool")
+        assert _canonical(recovered["report"]) == _canonical(batch)
+        assert ping["ok"] and ping["runtime"]["pool_cold_boots"] == 2
+        assert leaked_segments(os.getpid()) == []

@@ -25,8 +25,9 @@ from repro.service import (
     default_failure_schedule,
     leaked_segments,
     run_fleet_scenario,
+    run_fleet_scenario_parallel,
 )
-from repro.sim import generate_request_stream
+from repro.sim import CompiledTrace, generate_request_stream
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -98,8 +99,9 @@ class TestByteIdentityMatrix:
             _assert_clean(runtime)
 
     def test_windowed_submitted_stream_rides_shared_memory(self):
-        """window + submitted stream + workers>1 is the shm_windowed
-        task path: raw arrays packed per serve, released after it."""
+        """window + submitted stream + workers>1 is the windowed task
+        with a stream segment: raw arrays packed per serve, released
+        after it."""
         scenario = _scenario(window_size=64)
         stream = _stream_for(scenario)
         batch = run_fleet_scenario(scenario, stream=stream).to_dict()
@@ -220,6 +222,69 @@ class TestTeardown:
         assert "resource_tracker" not in err, err
         assert "Traceback" not in err, err
         assert list(Path("/dev/shm").glob(f"repro_wrt_{pid:x}_*")) == []
+
+    @pytest.mark.parametrize("mp_context", ["fork", "spawn"])
+    @pytest.mark.parametrize(
+        "window", [None, 64], ids=["materialized", "windowed"]
+    )
+    def test_cold_parallel_run_exits_clean(self, mp_context, window):
+        """The batch ``--workers N`` path is a one-shot runtime: its
+        segments are gone when the call returns, its report stays a
+        cold one (no ``runtime`` section), and the process exits
+        without tracker warnings."""
+        script = textwrap.dedent(
+            f"""
+            import json, os
+            from repro.service import (
+                FleetScenario, canonical_payload, leaked_segments,
+                run_fleet_scenario, run_fleet_scenario_parallel,
+            )
+            scenario = FleetScenario(
+                shards=2, v=9, k=3, duration_ms=200.0,
+                interarrival_ms=2.0, seed=3, window_size={window},
+            )
+            run = run_fleet_scenario_parallel(
+                scenario, workers=2, mp_context={mp_context!r}
+            )
+            assert run.execution.workers == 2
+            assert run.execution.mp_context == {mp_context!r}
+            payload = run.to_dict()
+            assert "runtime" not in payload
+            cold = run_fleet_scenario(scenario).to_dict()
+            assert json.dumps(canonical_payload(payload), sort_keys=True) \
+                == json.dumps(canonical_payload(cold), sort_keys=True)
+            assert leaked_segments(os.getpid()) == []
+            print(f"cold parallel run in pid {{os.getpid()}}")
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=REPO_ROOT,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+            capture_output=True,
+            text=True,
+            timeout=180,
+        )
+        assert "cold parallel run" in proc.stdout, proc.stderr
+        pid = int(proc.stdout.split()[-1])
+        self._assert_child_clean(pid, proc.returncode, proc.stderr)
+
+    def test_cold_parallel_run_pickles_no_compiled_trace(self, monkeypatch):
+        """Materialized groups read their slices from shared memory;
+        a trace reaching the pickle channel fails the run."""
+
+        def refuse(self, protocol):
+            raise AssertionError("CompiledTrace pickled to a worker")
+
+        monkeypatch.setattr(CompiledTrace, "__reduce_ex__", refuse)
+        scenario = _scenario()
+        run = run_fleet_scenario_parallel(
+            scenario, workers=2, mp_context="fork"
+        )
+        assert run.execution.workers == 2
+        cold = run_fleet_scenario(scenario).to_dict()
+        assert _canonical(run.to_dict()) == _canonical(cold)
+        assert leaked_segments(os.getpid()) == []
 
     def test_interpreter_exit_without_close_sweeps_segments(self):
         """The atexit net: a runtime abandoned without close() must
