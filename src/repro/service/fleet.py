@@ -821,7 +821,7 @@ class _WindowRouter:
                     d = dig.get(kind)
                     if d is None:
                         d = dig[kind] = LatencyDigest()
-                    d.extend(lst[b:])
+                    d.extend_array(np.asarray(lst[b:], dtype=np.float64))
                     del lst[b:]
 
 
@@ -1022,7 +1022,7 @@ def _arm_shard_pump(
                 d = digest.get(kind)
                 if d is None:
                     d = digest[kind] = LatencyDigest()
-                d.extend(lst[b:])
+                d.extend_array(np.asarray(lst[b:], dtype=np.float64))
                 del lst[b:]
 
     if first is None:

@@ -25,7 +25,8 @@ op        behaviour
 ping      liveness + scenario shape + buffered request count
 submit    append a stream chunk: ``{"op": "submit", "times":
           [...], "is_read": [...], "lbas": [...]}``; arrival
-          times must be non-decreasing across chunks
+          times must be non-decreasing across chunks, and at
+          most :data:`BUFFER_LIMIT` requests stay buffered
 reset     drop the buffered stream
 serve     run the scenario over the buffered stream (clears
           the buffer); reply carries the full report payload
@@ -35,7 +36,9 @@ shutdown  close the listener after replying
 
 Every reply carries ``"ok"``; errors reply ``{"ok": false, "error":
 ...}`` without killing the connection — protocol errors, request lines
-longer than :data:`LINE_LIMIT` bytes (discarded whole), and serves that
+longer than :data:`LINE_LIMIT` bytes (discarded whole), submits past
+the :data:`BUFFER_LIMIT` back-pressure cap (refused whole, buffer
+unchanged), and serves that
 fail inside the runtime (e.g. a pool worker killed mid-serve, replied
 as the exception name; the next serve boots a fresh pool).  The
 simulation itself is blocking CPU work, so serves run under an
@@ -58,12 +61,17 @@ import numpy as np
 from .runtime import WarmRuntime
 from .scenario import FleetScenario
 
-__all__ = ["LINE_LIMIT", "ServiceFrontend", "run_frontend"]
+__all__ = ["BUFFER_LIMIT", "LINE_LIMIT", "ServiceFrontend", "run_frontend"]
 
 #: Longest request line the front-end reads, in bytes (asyncio's
 #: default stream limit).  A longer line is discarded up to its newline
 #: and answered with an error; split big submits into chunks.
 LINE_LIMIT = 2**16
+#: Most requests the submit buffer holds between serves (17 bytes of
+#: arrays each, so about 71 MB at the cap).  A submit that would pass
+#: it is refused whole with a back-pressure error and the buffer is
+#: left as it was; ``serve`` or ``reset`` drains it.
+BUFFER_LIMIT = 2**22
 
 
 class ServiceFrontend:
@@ -236,6 +244,12 @@ class ServiceFrontend:
             raise ValueError(
                 "times/is_read/lbas must be the same length, got "
                 f"{times.size}/{is_read.size}/{lbas.size}"
+            )
+        if self._buffered + times.size > BUFFER_LIMIT:
+            raise ValueError(
+                f"back-pressure: {self._buffered} requests buffered, "
+                f"{times.size} more would pass the {BUFFER_LIMIT}-request "
+                "buffer limit — serve or reset before submitting more"
             )
         if times.size:
             if (times[1:] < times[:-1]).any():

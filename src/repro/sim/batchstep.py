@@ -652,7 +652,7 @@ class _EagerCore:
         the one-shot completion-sorted order).  ``sink(kind, lats,
         comps)`` receives each kind's latencies completion-sorted, ties
         by submission order, plus the matching completion times (for
-        metrics bucketing)."""
+        metrics bucketing), both as float64 ndarrays."""
         for kind, (cs, ls) in self._kinds.items():
             if not cs:
                 continue
@@ -663,7 +663,7 @@ class _EagerCore:
             larr = np.asarray(ls)
             ready_c = carr[ready]
             order = np.argsort(ready_c, kind="stable")
-            sink(kind, larr[ready][order].tolist(), ready_c[order])
+            sink(kind, larr[ready][order], ready_c[order])
             keep = ~ready
             if keep.any():
                 cs[:] = carr[keep].tolist()
@@ -723,8 +723,8 @@ def _eager_planned(
     latency = ctrl.latency
     obs = ctrl.obs if ctrl.obs.enabled else None
 
-    def sink(kind: str, lats: list[float], comps=None) -> None:
-        latency.setdefault(kind, LatencyStats()).samples.extend(lats)
+    def sink(kind: str, lats: np.ndarray, comps: np.ndarray) -> None:
+        latency.setdefault(kind, LatencyStats()).samples.extend(lats.tolist())
         if obs is not None:
             obs.feed(ctrl.obs_shard, kind, comps, lats)
 

@@ -87,6 +87,12 @@ __all__ = [
 #: that a window's arrays are a few MB regardless of the horizon.
 DEFAULT_WINDOW_SIZE = 65536
 
+#: Most interarrival gaps :class:`StreamWindows` draws in one call.  A
+#: window larger than this fills in chunks and stops drawing once the
+#: horizon is crossed, so an oversized ``window_size`` costs memory in
+#: proportion to the horizon, not the window.
+_GAP_CHUNK = 65536
+
 
 class StreamWindows:
     """Seed-deterministic fixed-size windows of a Poisson request stream.
@@ -167,11 +173,21 @@ class StreamWindows:
         horizon = self.duration_ms
         carry = 0.0
         while True:
-            gaps = rng_gaps.exponential(cfg.interarrival_ms, size=w)
-            gaps[0] += carry
-            times = np.cumsum(gaps)
-            carry = float(times[-1])
-            m = w
+            parts = []
+            need = w
+            while True:
+                gaps = rng_gaps.exponential(
+                    cfg.interarrival_ms, size=min(need, _GAP_CHUNK)
+                )
+                gaps[0] += carry
+                np.cumsum(gaps, out=gaps)
+                carry = float(gaps[-1])
+                parts.append(gaps)
+                need -= gaps.size
+                if not need or carry >= horizon:
+                    break
+            times = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            m = times.size
             last = carry >= horizon
             if last:
                 m = int(np.searchsorted(times, horizon, side="left"))

@@ -63,6 +63,12 @@ _Window = tuple[np.ndarray, np.ndarray, np.ndarray]
 def _digest_sink(digests: dict[str, LatencyDigest], obs=None, shard: int = 0):
     """Build a drain sink folding samples into per-kind digests.
 
+    The sink contract: ``sink(kind, lats, comps)`` receives float64
+    ndarrays — ``lats`` in emission order, ``comps`` the matching
+    completion times — and folds them with the vectorized
+    :meth:`LatencyDigest.extend_array`, state-identical to one
+    ``record`` per sample.
+
     When a metrics recorder ``obs`` is supplied, each drained batch is
     also folded into its completion-time buckets — the drain contract
     (completion-sorted emission, windowed prefixes of the one-shot
@@ -70,11 +76,11 @@ def _digest_sink(digests: dict[str, LatencyDigest], obs=None, shard: int = 0):
     byte-identical across window sizes.
     """
 
-    def sink(kind: str, lats: list[float], comps=None) -> None:
+    def sink(kind: str, lats: np.ndarray, comps: np.ndarray) -> None:
         d = digests.get(kind)
         if d is None:
             d = digests[kind] = LatencyDigest()
-        d.extend(lats)
+        d.extend_array(lats)
         if obs is not None:
             obs.feed(shard, kind, comps, lats)
 
@@ -104,9 +110,9 @@ class _WindowedSolver:
         self.maxc = float("-inf")
         self.n = 0
         # Pooled, in request order: completion, latency, kind code.
-        self._comps: list[float] = []
-        self._lats: list[float] = []
-        self._codes: list[int] = []
+        self._comps = np.empty(0, dtype=np.float64)
+        self._lats = np.empty(0, dtype=np.float64)
+        self._codes = np.empty(0, dtype=np.int8)
 
     def feed(self, compiled: CompiledTrace, sink) -> int:
         """Solve one compiled window and emit every pooled sample that
@@ -281,12 +287,11 @@ class _WindowedSolver:
         top = float(req_completion.max())
         if top > self.maxc:
             self.maxc = top
-        self._comps.extend(req_completion.tolist())
-        self._lats.extend((req_completion - times).tolist())
         if kind_code is None:
-            self._codes.extend([0] * n)
-        else:
-            self._codes.extend(kind_code.tolist())
+            kind_code = np.zeros(n, dtype=np.int8)
+        self._comps = np.concatenate((self._comps, req_completion))
+        self._lats = np.concatenate((self._lats, req_completion - times))
+        self._codes = np.concatenate((self._codes, kind_code))
         self._drain(float(times[-1]), sink)
         return n
 
@@ -295,16 +300,15 @@ class _WindowedSolver:
         later request arrives at or after the threshold, so its
         completion cannot sort before the emitted prefix — and within
         the pool a stable completion sort breaks ties by request order,
-        exactly the one-shot solver's ``done_order``."""
-        comps = self._comps
-        if not comps:
-            return
-        carr = np.asarray(comps)
+        exactly the one-shot solver's ``done_order``.  ``sink`` receives
+        each kind's latencies and completion times as float64 ndarrays
+        (the :func:`_digest_sink` contract)."""
+        carr = self._comps
         ready = carr <= threshold
         if not ready.any():
             return
-        larr = np.asarray(self._lats)
-        codes = np.asarray(self._codes, dtype=np.int8)
+        larr = self._lats
+        codes = self._codes
         order = np.argsort(carr[ready], kind="stable")
         comp_done = carr[ready][order]
         lat_done = larr[ready][order]
@@ -313,16 +317,11 @@ class _WindowedSolver:
             mask = kinds_done == code
             sel = lat_done[mask]
             if len(sel):
-                sink(name, sel.tolist(), comp_done[mask])
+                sink(name, sel, comp_done[mask])
         keep = ~ready
-        if keep.any():
-            comps[:] = carr[keep].tolist()
-            self._lats[:] = larr[keep].tolist()
-            self._codes[:] = codes[keep].tolist()
-        else:
-            del comps[:]
-            del self._lats[:]
-            del self._codes[:]
+        self._comps = carr[keep]
+        self._lats = larr[keep]
+        self._codes = codes[keep]
 
     def finish(self, sink) -> None:
         """Emit everything still pooled and advance the clock to the
@@ -414,7 +413,7 @@ def _pump_windows(
             d = digests.get(kind)
             if d is None:
                 d = digests[kind] = LatencyDigest()
-            d.extend(lst)
+            d.extend_array(np.asarray(lst, dtype=np.float64))
             # Clear in place: the pump and controller cache the list
             # object as their recording sink.
             del lst[:]

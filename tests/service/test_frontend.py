@@ -20,6 +20,7 @@ from repro.service import (
     leaked_segments,
     run_fleet_scenario,
 )
+from repro.service import frontend as frontend_module
 from repro.service.frontend import LINE_LIMIT
 from repro.sim import generate_request_stream
 
@@ -337,6 +338,60 @@ class TestFrontendRobustness:
         assert str(LINE_LIMIT) in refused["error"]
         assert pinged["ok"] and pinged["buffered"] == 0
         assert caplog.records == []
+
+    def test_submit_past_buffer_limit_is_refused_whole(self, monkeypatch):
+        """A submit that would push the buffer past ``BUFFER_LIMIT``
+        gets a back-pressure error and leaves the buffer as it was, so
+        the stream completed within the cap still serves identically to
+        the batch run."""
+        scenario = _scenario()
+        times, is_read, lbas = _stream_for(scenario)
+        batch = run_fleet_scenario(
+            scenario, stream=(times, is_read, lbas)
+        ).to_dict()
+        monkeypatch.setattr(frontend_module, "BUFFER_LIMIT", len(times))
+        mid = len(times) // 2
+        over = {
+            "op": "submit",
+            "times": times[mid:].tolist() + [float(times[-1]) + 1.0],
+            "is_read": is_read[mid:].tolist() + [True],
+            "lbas": lbas[mid:].tolist() + [0],
+        }
+
+        async def main():
+            frontend = ServiceFrontend(scenario)
+            await frontend.start()
+            try:
+                rpc, writer = await _client(frontend)
+                first = await rpc({
+                    "op": "submit",
+                    "times": times[:mid].tolist(),
+                    "is_read": is_read[:mid].tolist(),
+                    "lbas": lbas[:mid].tolist(),
+                })
+                refused = await rpc(over)
+                pinged = await rpc({"op": "ping"})
+                rest = await rpc({
+                    "op": "submit",
+                    "times": times[mid:].tolist(),
+                    "is_read": is_read[mid:].tolist(),
+                    "lbas": lbas[mid:].tolist(),
+                })
+                served = await rpc({"op": "serve"})
+                writer.close()
+                return first, refused, pinged, rest, served
+            finally:
+                await frontend.close()
+
+        first, refused, pinged, rest, served = _run(main())
+        assert first["ok"] and first["buffered"] == mid
+        assert refused["ok"] is False
+        assert "back-pressure" in refused["error"]
+        assert str(len(times)) in refused["error"]
+        assert pinged["buffered"] == mid
+        assert rest["ok"] and rest["buffered"] == len(times)
+        assert served["ok"], served
+        assert _canonical(served["report"]) == _canonical(batch)
 
     def test_killed_worker_fails_one_serve_then_recovers(self):
         """SIGKILL one pool worker between serves: the next serve

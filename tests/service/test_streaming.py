@@ -12,7 +12,12 @@ field (everything below the echo must match byte for byte).
 """
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -22,9 +27,12 @@ from repro.service import (
     canonical_payload,
     default_failure_schedule,
     run_fleet_scenario,
+    run_fleet_scenario_parallel,
 )
+from repro.service import parallel as service_parallel
 from repro.sim import WorkloadConfig
 
+REPO_ROOT = Path(__file__).resolve().parents[2]
 DURATION = 400.0
 WINDOW_SIZES = (1, 13, 64, 10**6)
 
@@ -143,3 +151,93 @@ class TestScenarioWindowed:
         assert report.passed
         assert report.all_rebuilt_verified
         assert len(report.rebuilds) == 2
+
+
+class TestArrayNativeSinks:
+    """The fleet's windowed drains — carry-engine sinks, the window
+    router's sweep, and the per-shard pump's sweep — fold vectorized
+    and still match the materialized scenario."""
+
+    @pytest.mark.parametrize(
+        "overrides,engine",
+        [
+            (dict(verify_data=False), "windowed-eager"),
+            (
+                dict(verify_data=False, read_fraction=1.0),
+                "windowed-solver",
+            ),
+        ]
+        + [(c[1], "windowed-pump") for c in SCENARIO_CASES],
+        ids=["carry_eager", "carry_solver"]
+        + [f"router_{c[0]}" for c in SCENARIO_CASES],
+    )
+    def test_serial_windowed_scenario_folds_vectorized(
+        self, no_scalar_fold, overrides, engine
+    ):
+        materialized = _canon(
+            run_fleet_scenario(_scenario(**overrides)).to_dict(),
+            ignore_window=True,
+        )
+        report = run_fleet_scenario(_scenario(window_size=64, **overrides))
+        assert engine in report.fleet.engines
+        windowed = _canon(report.to_dict(), ignore_window=True)
+        assert windowed == materialized
+
+    def test_shard_pump_folds_vectorized(self, monkeypatch, no_scalar_fold):
+        """A windowed group with a failure runs each shard on its own
+        chained heap pump (``_arm_shard_pump``) in the grouped
+        pipeline."""
+        overrides = dict(failures=default_failure_schedule(4, 9, 2, 80.0))
+        materialized = _canon(
+            run_fleet_scenario(_scenario(**overrides)).to_dict(),
+            ignore_window=True,
+        )
+        armed = []
+        real = service_parallel._arm_shard_pump
+
+        def spy(*args, **kwargs):
+            armed.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(service_parallel, "_arm_shard_pump", spy)
+        run = run_fleet_scenario_parallel(
+            _scenario(window_size=64, **overrides), workers=1
+        )
+        assert armed
+        assert _canon(run.to_dict(), ignore_window=True) == materialized
+
+
+def _serve_peak_rss_mb(window_size: int) -> float:
+    """Peak RSS of a fresh interpreter serving a ~200-request 2-shard
+    scenario in windows of ``window_size``."""
+    script = textwrap.dedent(
+        f"""
+        from repro.bench import peak_rss_mb
+        from repro.service import FleetScenario, run_fleet_scenario
+        report = run_fleet_scenario(FleetScenario(
+            shards=2, duration_ms=200.0, interarrival_ms=1.0,
+            verify_data=False, check_conformance=False,
+            window_size={window_size},
+        ))
+        assert report.passed and report.fleet.scheduled < 400
+        print(peak_rss_mb())
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=REPO_ROOT,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return float(proc.stdout.split()[-1])
+
+
+def test_oversized_window_memory_follows_the_horizon():
+    """A window far larger than the stream costs memory in proportion
+    to the requests actually drawn, not to ``window_size``."""
+    small = _serve_peak_rss_mb(1000)
+    huge = _serve_peak_rss_mb(10**7)
+    assert huge <= 1.5 * small, (huge, small)

@@ -19,6 +19,7 @@ import pytest
 
 from repro.core import get_layout
 from repro.sim import WorkloadConfig, simulate_workload
+from repro.sim import compile as sim_compile
 from repro.sim.compile import StreamWindows, generate_request_stream
 from repro.sim.controller import ArrayController
 from repro.sim.stats import summarize
@@ -84,6 +85,20 @@ class TestStreamWindows:
     def test_window_size_validated(self):
         with pytest.raises(ValueError, match="window_size"):
             StreamWindows(_cfg(), DURATION, 100, window_size=0)
+
+    def test_chunked_gap_draws_match_whole_stream(self, monkeypatch):
+        """Windows larger than the gap-draw chunk fill from several
+        draws with the prefix sum carried between them — the windows
+        must not change."""
+        cfg = _cfg()
+        whole = generate_request_stream(cfg, DURATION, 100)
+        monkeypatch.setattr(sim_compile, "_GAP_CHUNK", 5)
+        for ws in (1, 5, 7, 64, 10**6):
+            chunks = list(StreamWindows(cfg, DURATION, 100, window_size=ws))
+            assert all(len(c[0]) <= ws for c in chunks)
+            for i in range(3):
+                got = np.concatenate([c[i] for c in chunks])
+                assert np.array_equal(got, whole[i]), (ws, i)
 
 
 #: (id, simulate_workload overrides) — one per engine/failure state
@@ -183,3 +198,48 @@ class TestExecuteWindowsGate:
         )
         assert materialized.scheduled == windowed.scheduled == 0
         assert asdict(windowed) == asdict(materialized)
+
+
+class TestArrayNativeSinks:
+    """Every windowed engine folds its samples with the vectorized
+    digest fold and still reproduces the materialized report."""
+
+    @pytest.mark.parametrize(
+        "engine,overrides",
+        [
+            ("windowed-eager", dict(config=_cfg(read_fraction=0.7))),
+            ("windowed-solver", dict(config=_cfg(read_fraction=1.0))),
+            (
+                "windowed-solver",
+                dict(config=_cfg(), write_policy="write_through"),
+            ),
+        ],
+        ids=["eager_rmw", "solver_read_only", "solver_write_through"],
+    )
+    def test_windowed_engines_fold_vectorized(
+        self, no_scalar_fold, engine, overrides
+    ):
+        materialized = asdict(
+            simulate_workload(LAYOUT, duration_ms=DURATION, **overrides)
+        )
+        for ws in (13, 64):
+            report = simulate_workload(
+                LAYOUT, duration_ms=DURATION, window_size=ws, **overrides
+            )
+            assert report.engine == engine
+            assert asdict(report) == materialized, ws
+
+    def test_pump_folds_vectorized(self, no_scalar_fold):
+        cfg = _cfg()
+        materialized = asdict(
+            simulate_workload(LAYOUT, duration_ms=400.0, config=cfg)
+        )
+        ctrl = ArrayController(LAYOUT)
+        one_shot = iter(
+            StreamWindows(cfg, 400.0, ctrl.mapper.capacity, window_size=32)
+        )
+        scheduled, digests = execute_windows(ctrl, one_shot)
+        assert ctrl.last_engine == "windowed-pump"
+        assert scheduled == materialized["scheduled"]
+        latency = {kind: summarize(d) for kind, d in digests.items()}
+        assert latency == materialized["latency"]

@@ -30,6 +30,15 @@ steady-state requests/s — a regression that silently reboots the pool,
 misses the artifact cache, or re-pickles traces per serve shows up as
 a large drop in exactly this figure.
 
+A sixth, self-relative case gates the windowed serving path: one
+healthy 70/30 read-modify-write stream on 4 shards of (41,5), served
+windowed and materialized in interleaved pairs, must reach
+``WINDOWED_RATIO`` of its materialized speed in the best pair.  The
+windowed serve runs the same engines over the same requests plus a
+per-window digest fold, so a fold that falls back to one Python call
+per sample (or a window path that loses its carry engines) shows up
+here as a collapse of that ratio.  ``BENCH_GUARD_RATIO=0`` skips it.
+
 The final stdout line is machine-readable JSON (prefixed
 ``bench-guard-json:``) with per-case ratios and, when the guard is
 skipped (ratio 0), an explicit ``skip_reason`` — hosted runners can
@@ -79,6 +88,18 @@ OBS_RATIO = 0.95
 #: Interleaved off/on run pairs for the overhead case; the verdict is
 #: the best per-pair on/off ratio.
 OBS_RUNS = 5
+
+#: Windowed-serve gate: the best interleaved pair's windowed speed must
+#: reach this fraction of the materialized speed (self-relative).  On a
+#: 2-CPU host the best pair of 5 read 0.68-0.77 while the digest sinks
+#: folded one Python call per sample, and 0.97-1.11 once they folded
+#: vectorized.
+WINDOWED_RATIO = 0.8
+#: Requests and window of the windowed-serve case: the shape of the
+#: e2ebench stream_windowed op (4 shards of (41,5), 6 ms aggregate
+#: interarrival, 20k-request windows).
+WINDOWED_REQUESTS = 80_000
+WINDOWED_WINDOW = 20_000
 
 
 def committed_events_per_s(path: Path) -> dict[str, float]:
@@ -210,6 +231,54 @@ def obs_overhead_case(obs_ratio: float) -> dict:
     }
 
 
+def windowed_vs_materialized_case() -> dict:
+    """Serve one healthy 70/30 stream materialized and windowed in
+    interleaved pairs and gate the best per-pair windowed/materialized
+    speed ratio (pairing cancels host-load drift, as in
+    :func:`obs_overhead_case`)."""
+    import dataclasses
+
+    from repro.service import FleetScenario, run_fleet_scenario
+
+    interarrival = 6.0
+    materialized = FleetScenario(
+        shards=4,
+        v=41,
+        k=5,
+        duration_ms=WINDOWED_REQUESTS * interarrival,
+        interarrival_ms=interarrival,
+        read_fraction=0.7,
+        verify_data=False,
+        check_conformance=False,
+    )
+    windowed = dataclasses.replace(
+        materialized, window_size=WINDOWED_WINDOW
+    )
+
+    def timed(scenario) -> float:
+        t0 = time.perf_counter()
+        run_fleet_scenario(scenario)
+        return time.perf_counter() - t0
+
+    timed(materialized)  # build the layout and warm caches untimed
+    timed(windowed)
+    mat_best = win_best = float("inf")
+    ratio = 0.0
+    for _ in range(OBS_RUNS):
+        m = timed(materialized)
+        w = timed(windowed)
+        mat_best = min(mat_best, m)
+        win_best = min(win_best, w)
+        ratio = max(ratio, m / w)
+    return {
+        "materialized_best_s": mat_best,
+        "windowed_best_s": win_best,
+        "ratio_windowed_vs_materialized": ratio,
+        "floor_ratio": WINDOWED_RATIO,
+        "ok": ratio >= WINDOWED_RATIO,
+    }
+
+
 def main() -> int:
     artifact = REPO_ROOT / "BENCH_sim.json"
     try:
@@ -283,6 +352,20 @@ def main() -> int:
         if not warm["ok"]:
             regressed.append("warm_serve")
 
+    if not summary["skipped"]:
+        win = windowed_vs_materialized_case()
+        summary["cases"]["windowed_vs_materialized"] = win
+        verdict = "OK" if win["ok"] else "REGRESSION"
+        print(
+            f"bench-guard: {'windowed_vs_materialized':<24} "
+            f"{win['windowed_best_s'] * 1e3:>7,.0f} ms windowed vs "
+            f"{win['materialized_best_s'] * 1e3:>7,.0f} ms materialized "
+            f"({win['ratio_windowed_vs_materialized']:.2f}x, floor "
+            f"{WINDOWED_RATIO:.2f}x) -> {verdict}"
+        )
+        if not win["ok"]:
+            regressed.append("windowed_vs_materialized")
+
     try:
         obs_ratio = float(
             os.environ.get("BENCH_GUARD_OBS_RATIO", OBS_RATIO)
@@ -318,9 +401,11 @@ def main() -> int:
             f"{(1 - ratio) * 100:.0f}% in {', '.join(regressed)} — check "
             "the engine-selection gate in "
             "repro.sim.compile.execute_compiled, the eager tier's "
-            "fallback rate in repro.sim.batchstep, and (for warm_serve) "
+            "fallback rate in repro.sim.batchstep, (for warm_serve) "
             "the pool/cache reuse counters in "
-            "repro.service.runtime.WarmRuntime"
+            "repro.service.runtime.WarmRuntime, and (for "
+            "windowed_vs_materialized) the digest sinks in "
+            "repro.sim.stream"
         )
     print("bench-guard-json: " + json.dumps(summary, sort_keys=True))
     return 1 if regressed and not summary["skipped"] else 0
